@@ -24,6 +24,12 @@ rm -rf "$lint_dir"
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
 
+echo "==> perfbench self-test (traced and untraced work counters must agree)"
+# perfbench is a standalone package outside the workspace; its self-test
+# runs every workload at tiny scale and fails if an instrumented run's
+# counters or report diverge from the untraced run's.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -689,4 +689,87 @@ mod tests {
         assert_eq!(table.free_slots().count(), 2);
         let _ = JobId::new(0);
     }
+
+    /// Conformance of the `approval_is_priority_based` contract the
+    /// scheduler's per-round viability memo relies on, over all four
+    /// policies and a grid of job ids and priorities: each policy
+    /// declaring it approves an owner on its own reservation, and for a
+    /// non-owner its verdict is a function of the candidate's priority
+    /// and the reservation's `(owner, priority)` alone — not of the
+    /// candidate's id, the context, or the reservation's stage or
+    /// deadline.
+    #[test]
+    fn priority_based_approval_conformance() {
+        use ssr_scheduler::policy::STATIC_POOL_JOB;
+        use ssr_scheduler::{
+            Jobs, PolicyCtx, ReservationPolicy, StaticReservation, TimeoutReservation,
+            WorkConserving,
+        };
+        let policies: Vec<Box<dyn ReservationPolicy>> = vec![
+            Box::new(WorkConserving),
+            Box::new(TimeoutReservation::new(SimDuration::from_secs(30))),
+            Box::new(StaticReservation::new(2, Priority::new(5))),
+            Box::new(SpeculativeReservation::new()),
+        ];
+        let owners = [0u64, 1, 2, 9, STATIC_POOL_JOB.as_u64()];
+        let candidates = [0u64, 1, 2, 9, 42];
+        let priorities = [-3i32, 0, 1, 5, 10];
+
+        // Two unrelated contexts: an empty pool at t=0 and a pool holding
+        // reservations at t=1000.
+        let jobs = Jobs::new();
+        let empty = SlotPool::new(&ClusterSpec::new(2, 2).unwrap());
+        let mut held = SlotPool::new(&ClusterSpec::new(2, 2).unwrap());
+        held.reserve(SlotId::new(0), Reservation::new(JobId::new(1), Priority::new(5))).unwrap();
+        held.reserve(SlotId::new(3), Reservation::new(STATIC_POOL_JOB, Priority::new(10))).unwrap();
+        let ctxs = [
+            PolicyCtx { now: SimTime::ZERO, slots: &empty, jobs: &jobs },
+            PolicyCtx { now: SimTime::from_secs(1000), slots: &held, jobs: &jobs },
+        ];
+
+        for policy in &policies {
+            assert!(policy.approval_is_priority_based(), "{}", policy.name());
+            for &owner in &owners {
+                let owner = JobId::new(owner);
+                for &rprio in &priorities {
+                    let base = Reservation::new(owner, Priority::new(rprio));
+                    let variants = [
+                        base,
+                        base.with_stage(StageId::new(1)),
+                        base.with_deadline(SimTime::from_secs(500)),
+                    ];
+                    if owner != STATIC_POOL_JOB {
+                        for &cprio in &priorities {
+                            for ctx in &ctxs {
+                                for r in &variants {
+                                    assert!(
+                                        policy.approve(ctx, r, owner, Priority::new(cprio)),
+                                        "{}: owner {owner} refused on its own {r:?}",
+                                        policy.name()
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    for &cprio in &priorities {
+                        let cprio = Priority::new(cprio);
+                        let expected = policy.approve(&ctxs[0], &base, JobId::new(42), cprio);
+                        for &job in candidates.iter().filter(|&&j| JobId::new(j) != owner) {
+                            for ctx in &ctxs {
+                                for r in &variants {
+                                    assert_eq!(
+                                        policy.approve(ctx, r, JobId::new(job), cprio),
+                                        expected,
+                                        "{}: verdict for job {job} at {cprio:?} on {r:?} \
+                                         differs from the priority-only verdict",
+                                        policy.name()
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

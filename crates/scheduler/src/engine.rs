@@ -9,7 +9,7 @@
 //! [`TaskScheduler::expire_reservations`] as events occur, and realises
 //! task durations itself.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use ssr_cluster::{
     ClusterSpec, DataPlacement, LocalityLevel, LocalityModel, Reservation, SlotId, SlotPool,
@@ -20,7 +20,7 @@ use ssr_simcore::SimTime;
 use ssr_trace::{DenyReason, TraceEvent, TraceEventKind, TraceSink};
 
 use crate::jobs::{JobState, Jobs};
-use crate::order::{JobOrder, JobSnapshot};
+use crate::order::{CandidateQueue, JobOrder, JobSnapshot};
 use crate::policy::{PolicyCtx, ReservationPolicy, SlotDisposition};
 use crate::speculation::SpeculationConfig;
 use crate::taskset::{TaskInstance, TaskSetManager};
@@ -147,14 +147,28 @@ pub struct TaskScheduler {
     /// disabled path costs one branch — the same contract as `trace`.
     profiler: Option<Box<SpanProfiler>>,
     /// Cached `JobSnapshot`s of schedulable jobs (incomplete with pending
-    /// tasks), rebuilt lazily when `snapshots_dirty`; offer rounds copy
-    /// them into `candidates_buf` and maintain that copy per assignment
+    /// tasks), rebuilt lazily when `snapshots_dirty`; offer rounds load
+    /// them into `candidates` and maintain that queue per assignment
     /// instead of re-deriving the vector from `jobs` each iteration.
     snapshots: Vec<JobSnapshot>,
     snapshots_dirty: bool,
+    /// Jobs whose final phase completed, so `has_unfinished_jobs` is a
+    /// comparison with `jobs.len()` instead of a walk over every job.
+    completed_jobs: usize,
+    /// Task sets that may still unlock a locality level, as `(ready_since,
+    /// job, stage)` in ready order (the clock never runs backwards, so
+    /// push order is ready order). `next_locality_unlock` visits only
+    /// these and drops entries from the front once their last unlock has
+    /// passed, so the window spans about `3 × wait` of readiness instead of
+    /// every task set of every job.
+    unlock_window: VecDeque<(SimTime, JobId, StageId)>,
+    /// Per-round memo of "some reservation group approves a non-owner at
+    /// this priority", cleared at the start of every offer round; see
+    /// `viable_on_reserved`.
+    viable_memo: Vec<(Priority, bool)>,
     // Reusable scratch buffers for the offer-round hot path — cleared on
     // use, retained across rounds so steady state allocates nothing.
-    candidates_buf: Vec<JobSnapshot>,
+    candidates: CandidateQueue,
     straggler_jobs_buf: Vec<JobId>,
     straggler_slots_buf: Vec<SlotId>,
     straggler_plans_buf: Vec<(StageId, u32)>,
@@ -202,7 +216,10 @@ impl TaskScheduler {
             profiler: None,
             snapshots: Vec::new(),
             snapshots_dirty: true,
-            candidates_buf: Vec::new(),
+            completed_jobs: 0,
+            unlock_window: VecDeque::new(),
+            viable_memo: Vec::new(),
+            candidates: CandidateQueue::default(),
             straggler_jobs_buf: Vec::new(),
             straggler_slots_buf: Vec::new(),
             straggler_plans_buf: Vec::new(),
@@ -347,6 +364,9 @@ impl TaskScheduler {
         }
         self.jobs.insert(state);
         self.snapshots_dirty = true;
+        for &stage in &roots {
+            self.track_unlocks(now, id, stage);
+        }
         for stage in roots {
             let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
             self.policy.on_stage_ready(&ctx, id, stage);
@@ -377,23 +397,23 @@ impl TaskScheduler {
             } else {
                 self.counters.index_hits.inc();
             }
-            // Work on a copy of the cached snapshots: candidates drop out
-            // as they drain or fail to place, and running counts advance
-            // per assignment. Slice order is irrelevant — every `JobOrder`
-            // is a total order with an id tie-break — so `swap_remove`
-            // maintenance is safe.
-            let mut candidates = std::mem::take(&mut self.candidates_buf);
+            self.viable_memo.clear();
+            // Work on a queue loaded from the cached snapshots: candidates
+            // drop out as they drain or fail to place, and the served
+            // job's running count advances per assignment.
+            let mut candidates = std::mem::take(&mut self.candidates);
             self.note_scratch(candidates.capacity());
-            candidates.clear();
-            candidates.extend_from_slice(&self.snapshots);
-            if free == 0 && self.policy.approval_is_priority_based() {
+            candidates.load(&self.snapshots);
+            let priority_based = self.policy.approval_is_priority_based();
+            if free == 0 && priority_based {
                 // No free slot: a job can only place onto a reserved slot
                 // it owns or whose group approves its priority. Dropped
                 // candidates would fail `try_assign_one` unchanged, and
                 // the filter stays valid mid-round — assignments only
                 // consume slots (free stays 0, groups only shrink) — so
                 // the assignment sequence is identical to the unfiltered
-                // round.
+                // round. The filter runs in snapshot (job-id) order, so
+                // traced declines keep that order.
                 if self.trace.is_some() {
                     let mut dropped: Vec<JobId> = Vec::new();
                     candidates.retain(|c| {
@@ -411,38 +431,40 @@ impl TaskScheduler {
                     candidates.retain(|c| self.viable_on_reserved(c.id, c.priority, now));
                 }
             }
+            candidates.sort(self.order.as_ref());
             while available > 0 {
-                let Some(job) = self.order.select(&candidates) else { break };
-                let pos = candidates
-                    .iter()
-                    .position(|s| s.id == job)
-                    .expect("selected job is a candidate");
-                match self.try_assign_one(job, now) {
+                let Some(best) = candidates.best() else { break };
+                let job = best.id;
+                // Once the round has used up the free slots, a candidate
+                // the memoised viability check rules out would fail
+                // `try_assign_one` anyway: skip the per-slot search.
+                let ruled_out = priority_based
+                    && self.slots.counts().0 == 0
+                    && !self.viable_on_reserved(job, best.priority, now);
+                let placed = if ruled_out { None } else { self.try_assign_one(job, now) };
+                match placed {
                     Some(a) => {
                         if self.trace.is_some() {
                             self.emit(now, launch_event(&a));
                         }
                         assignments.push(a);
                         available -= 1;
-                        candidates[pos].running_slots += 1;
                         let drained = self
                             .jobs
                             .get(job)
                             .is_none_or(|state| !state.has_pending_tasks());
-                        if drained {
-                            candidates.swap_remove(pos);
-                        }
+                        candidates.assigned(self.order.as_ref(), drained);
                     }
                     None => {
                         if self.trace.is_some() {
                             let (reason, stage) = self.deny_reason(job, now);
                             self.emit(now, TraceEventKind::OfferDeclined { job, reason, stage });
                         }
-                        candidates.swap_remove(pos);
+                        candidates.decline();
                     }
                 }
             }
-            self.candidates_buf = candidates;
+            self.candidates = candidates;
         }
         if self.policy.mitigate_stragglers() {
             self.span_enter("speculation_scan");
@@ -543,19 +565,30 @@ impl TaskScheduler {
 
     /// With zero free slots: can `job` possibly place a task at all?
     /// Only if it owns reservations, or some other job's reservation
-    /// group approves its priority (verdicts are group-uniform when the
-    /// policy declares priority-based approval).
-    fn viable_on_reserved(&self, job: JobId, priority: Priority, now: SimTime) -> bool {
+    /// group approves its priority.
+    ///
+    /// Under priority-based approval a non-owner's verdict depends only on
+    /// its priority and the group's `(owner, priority)`, so for a job
+    /// holding no reservation the answer is memoised per priority until
+    /// the round ends. Groups only shrink while a round assigns, so a
+    /// cached "no" stays exact; a stale "yes" only lets `try_assign_one`
+    /// run and decline as it would have without the memo.
+    fn viable_on_reserved(&mut self, job: JobId, priority: Priority, now: SimTime) -> bool {
         if self.slots.has_reservations(job) {
             return true;
         }
-        self.slots.reservation_groups().any(|(owner, rprio, _)| {
+        if let Some(&(_, viable)) = self.viable_memo.iter().find(|&&(p, _)| p == priority) {
+            return viable;
+        }
+        let viable = self.slots.reservation_groups().any(|(owner, rprio, _)| {
             self.counters.reservation_groups_touched.inc();
             let probe = Reservation::new(owner, rprio);
             let ctx = PolicyCtx { now, slots: &self.slots, jobs: &self.jobs };
             self.counters.approval_calls.inc();
             self.policy.approve(&ctx, &probe, job, priority)
-        })
+        });
+        self.viable_memo.push((priority, viable));
+        viable
     }
 
     /// Finds the best placement for one pending task of `job` and applies
@@ -995,6 +1028,7 @@ impl TaskScheduler {
             let tsm = TaskSetManager::new(task.job, ready_stage, parallelism, now)
                 .with_preferred(preferred, &self.spec);
             self.jobs.get_mut(task.job).expect("job exists").insert_taskset(tsm, now);
+            self.track_unlocks(now, task.job, ready_stage);
             // The phase has started: stop pre-reserving for it.
             self.prereserve.remove(&(task.job, ready_stage));
         }
@@ -1047,6 +1081,7 @@ impl TaskScheduler {
                 self.emit(now, TraceEventKind::JobCompleted { job: task.job });
             }
             self.jobs.get_mut(task.job).expect("job exists").mark_complete(now);
+            self.completed_jobs += 1;
             let freed = self.slots.release_job_reservations(task.job);
             if self.trace.is_some() {
                 for s in freed {
@@ -1325,21 +1360,46 @@ impl TaskScheduler {
     /// The earliest future instant at which some pending task unlocks a
     /// more relaxed locality level (delay scheduling), for event
     /// scheduling.
-    pub fn next_locality_unlock(&self, now: SimTime) -> Option<SimTime> {
+    ///
+    /// Visits only the task sets that became ready recently enough to
+    /// unlock again, and forgets those whose last unlock is behind `now`,
+    /// so `now` must not decrease between calls (a simulator's clock
+    /// never does).
+    pub fn next_locality_unlock(&mut self, now: SimTime) -> Option<SimTime> {
+        self.prune_unlock_window(now);
         let mut next: Option<SimTime> = None;
-        for job in self.jobs.iter().filter(|j| !j.is_complete()) {
-            for tsm in job.active_tasksets() {
-                if !tsm.has_pending() {
-                    continue;
-                }
-                let elapsed = now.saturating_since(tsm.ready_since());
-                if let Some(unlock) = self.locality.next_unlock_after(elapsed) {
-                    let at = tsm.ready_since() + unlock;
-                    next = Some(next.map_or(at, |n| n.min(at)));
-                }
+        for &(ready, job, stage) in &self.unlock_window {
+            let Some(state) = self.jobs.get(job).filter(|j| !j.is_complete()) else {
+                continue;
+            };
+            if !state.active_taskset(stage).is_some_and(TaskSetManager::has_pending) {
+                continue;
+            }
+            if let Some(unlock) = self.locality.next_unlock_after(now.saturating_since(ready)) {
+                let at = ready + unlock;
+                next = Some(next.map_or(at, |n| n.min(at)));
             }
         }
         next
+    }
+
+    /// Enters a task set that became ready at `now` into the unlock
+    /// window, first dropping entries with no unlock left, so the window
+    /// stays bounded even if `next_locality_unlock` is never called.
+    fn track_unlocks(&mut self, now: SimTime, job: JobId, stage: StageId) {
+        self.prune_unlock_window(now);
+        self.unlock_window.push_back((now, job, stage));
+    }
+
+    /// Drops window entries, oldest first, whose last locality unlock is
+    /// at or before `now`.
+    fn prune_unlock_window(&mut self, now: SimTime) {
+        while let Some(&(ready, _, _)) = self.unlock_window.front() {
+            if self.locality.next_unlock_after(now.saturating_since(ready)).is_some() {
+                break;
+            }
+            self.unlock_window.pop_front();
+        }
     }
 
     /// The cluster topology.
@@ -1387,7 +1447,7 @@ impl TaskScheduler {
 
     /// `true` while some admitted job is incomplete.
     pub fn has_unfinished_jobs(&self) -> bool {
-        self.jobs.iter().any(|j| !j.is_complete())
+        self.completed_jobs < self.jobs.len()
     }
 
     /// The reservation policy's name (for reports).
@@ -1987,6 +2047,51 @@ mod tests {
             log
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// Work done by one offer round with no free slot: one
+    /// reservation-holding high-priority job between its phases and
+    /// `backlog` low-priority jobs waiting. Returns (approval calls,
+    /// reservation groups touched, slots scanned) for that round.
+    fn saturated_round_work(backlog: usize) -> (u64, u64, u64) {
+        let mut s = TaskScheduler::new(
+            ClusterSpec::new(1, 2).unwrap(),
+            LocalityModel::paper_simulation().with_wait(SimDuration::ZERO),
+            Box::new(TimeoutReservation::new(SimDuration::from_secs(30))),
+            Box::new(FifoPriority),
+        );
+        s.submit(two_stage_job("fg", 2, 10), SimTime::ZERO);
+        let a = s.resource_offers(SimTime::ZERO);
+        assert_eq!(a.len(), 2);
+        // One upstream task finishes: its slot is held for the
+        // foreground job, the other still runs — no slot is free.
+        s.task_finished(a[0].slot, SimTime::from_secs(1));
+        assert_eq!(s.slot_pool().counts(), (0, 1, 1));
+        for i in 0..backlog {
+            s.submit(one_stage_job(&format!("bg{i}"), 1, 0), SimTime::from_secs(1));
+        }
+        let c = s.work_counters();
+        let before =
+            (c.approval_calls.get(), c.reservation_groups_touched.get(), c.slots_scanned.get());
+        assert!(s.resource_offers(SimTime::from_secs(1)).is_empty());
+        let c = s.work_counters();
+        (
+            c.approval_calls.get() - before.0,
+            c.reservation_groups_touched.get() - before.1,
+            c.slots_scanned.get() - before.2,
+        )
+    }
+
+    #[test]
+    fn saturated_round_work_does_not_grow_with_backlog() {
+        // Guards against a quadratic offer round: one ApprovalLogic pass
+        // over the reservation groups per priority serves every
+        // backlogged candidate of that priority, so a saturated round's
+        // work must not scale with the backlog.
+        let small = saturated_round_work(10);
+        let large = saturated_round_work(1000);
+        assert_eq!(small, large, "offer-round work grew with the backlog");
+        assert_eq!(small.0, 1, "one ApprovalLogic call for one group and one priority");
     }
 
     #[test]

@@ -156,6 +156,15 @@ impl JobState {
         })
     }
 
+    /// The task set of `stage` if that phase is ready and still has
+    /// unfinished tasks — the single-stage form of
+    /// [`active_tasksets`](Self::active_tasksets).
+    pub(crate) fn active_taskset(&self, stage: StageId) -> Option<&TaskSetManager> {
+        self.tsms.get(&stage).filter(|t| {
+            self.run.state(stage) == StageState::Ready && !t.is_complete()
+        })
+    }
+
     /// `true` if some ready phase has an unlaunched original task.
     pub fn has_pending_tasks(&self) -> bool {
         self.active_tasksets().any(|t| t.has_pending())

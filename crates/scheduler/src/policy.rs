@@ -116,18 +116,24 @@ pub trait ReservationPolicy: fmt::Debug {
         job == reservation.job() || priority > reservation.priority()
     }
 
-    /// `true` iff this policy's [`approve`](Self::approve) verdict is a
-    /// pure function of the candidate's `(job, priority)` and the
-    /// reservation's `(job, priority)` — it never consults `ctx`, the
-    /// specific slot, or any mutable policy state, and the owning job is
-    /// always approved on its own reservations.
+    /// `true` iff this policy's [`approve`](Self::approve) verdict obeys
+    /// two rules:
+    ///
+    /// * the owning job is always approved on its own reservations;
+    /// * for a candidate that does **not** own the reservation, the
+    ///   verdict depends on exactly three things: the candidate's
+    ///   `priority`, the reservation's owner and the reservation's
+    ///   priority. It never consults the candidate's job id, `ctx`, the
+    ///   specific slot, the reservation's stage or deadline, or any
+    ///   mutable policy state.
     ///
     /// Declaring this lets the scheduler evaluate ApprovalLogic once per
     /// `(owner, priority)` reservation *group* instead of once per
-    /// reserved slot, and to skip candidates that cannot match any group
-    /// when no free slots remain. The default is conservative (`false`:
-    /// one `approve` call per slot); a policy overriding [`approve`] with
-    /// slot- or time-dependent logic must leave it that way.
+    /// reserved slot, and, when no free slot remains, answer "does any
+    /// group approve a non-owner at priority `p`?" once per distinct `p`
+    /// per offer round. The default is conservative (`false`: one
+    /// `approve` call per slot); a policy overriding [`approve`] with
+    /// slot-, time- or job-dependent logic must leave it that way.
     fn approval_is_priority_based(&self) -> bool {
         false
     }

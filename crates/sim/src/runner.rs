@@ -65,7 +65,10 @@ pub fn resolve_workers(flag: Option<usize>, env: Option<usize>, available: usize
 /// nondeterministic — but each result lands in its item's slot and the
 /// merge happens in input order, making the output byte-identical to
 /// `items.iter().map(f).collect()` regardless of worker count or thread
-/// timing. With one worker (or at most one item) no threads are spawned.
+/// timing. The calling thread works as one of the `workers`, so only
+/// `workers - 1` threads are spawned (none with one worker or at most one
+/// item): each spawned thread gets its own allocator arena, whose freed
+/// memory stays resident, so one thread fewer lowers peak RSS.
 ///
 /// # Panics
 ///
@@ -82,15 +85,17 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        let result = f(item);
+        *slots[i].lock().expect("result slot poisoned") = Some(result);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = f(item);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
     slots
         .into_iter()

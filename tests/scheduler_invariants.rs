@@ -17,9 +17,13 @@
 //! 8. under randomized deterministic fault plans (crashes, revocations,
 //!    partitions, straggler storms, executor restarts) the reservation
 //!    protocol keeps every `ssr-check` invariant, the workload still
-//!    drains, and the faulted run replays byte-identically.
+//!    drains, and the faulted run replays byte-identically,
+//! 9. the indexed `next_locality_unlock` and the O(1)
+//!    `has_unfinished_jobs` agree with full walks over every job and
+//!    task set after every event, under delay scheduling, every job
+//!    order and randomized crashes, partitions and requeues.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 use ssr::cluster::{ClusterSpec, LocalityModel, SlotId};
@@ -539,5 +543,217 @@ proptest! {
                 "indices {} and {} of root {:#x} shared a stream", i, j, root
             );
         }
+    }
+}
+
+/// The delay-scheduling wakeup as a full walk over every job and task
+/// set — the reference the scheduler's windowed index must reproduce.
+fn reference_next_locality_unlock(sched: &TaskScheduler, now: SimTime) -> Option<SimTime> {
+    let mut next: Option<SimTime> = None;
+    for job in sched.jobs().iter().filter(|j| !j.is_complete()) {
+        for tsm in job.active_tasksets() {
+            if !tsm.has_pending() {
+                continue;
+            }
+            let elapsed = now.saturating_since(tsm.ready_since());
+            if let Some(unlock) = sched.locality().next_unlock_after(elapsed) {
+                let at = tsm.ready_since() + unlock;
+                next = Some(next.map_or(at, |n| n.min(at)));
+            }
+        }
+    }
+    next
+}
+
+/// One event of the miniature driver below.
+#[derive(Debug, Clone, Copy)]
+enum DriverEvent {
+    Arrive(usize),
+    Finish { slot: SlotId, token: u64 },
+    Fault(usize),
+    Heal(usize),
+    Expire,
+    Wake,
+}
+
+/// Drives `sched` through arrivals, task finishes (durations drawn from
+/// `seed`), the crashes and partitions of `plan` with their heals,
+/// reservation expiries and locality wakeups, in time order. After every
+/// event it runs an offer round and checks the indexed queries against
+/// their full-walk references. Returns `true` if every job completed.
+fn drive_with_unlock_checks(
+    mut sched: TaskScheduler,
+    jobs: Vec<(SimTime, ssr::dag::JobSpec)>,
+    plan: &FaultPlan,
+    seed: u64,
+) -> bool {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut events: BTreeMap<(SimTime, u64), DriverEvent> = BTreeMap::new();
+    let mut seq = 0u64;
+    let mut push = |events: &mut BTreeMap<(SimTime, u64), DriverEvent>, at, ev| {
+        events.insert((at, seq), ev);
+        seq += 1;
+    };
+    for (i, (at, _)) in jobs.iter().enumerate() {
+        push(&mut events, *at, DriverEvent::Arrive(i));
+    }
+    for (i, fault) in plan.events().iter().enumerate() {
+        push(&mut events, fault.at, DriverEvent::Fault(i));
+    }
+    let spec = *sched.cluster_spec();
+    let node_slots = |node: u32| -> Vec<SlotId> {
+        spec.iter_slots().filter(|&s| spec.node_of(s).as_u32() == node).collect()
+    };
+    let mut tokens = vec![0u64; spec.total_slots() as usize];
+    let mut scheduled_unlock: Option<SimTime> = None;
+    let mut scheduled_expiry: Option<SimTime> = None;
+    let mut steps = 0;
+    while let Some(((now, _), event)) = events.pop_first() {
+        steps += 1;
+        assert!(steps < 50_000, "driver did not drain");
+        match event {
+            DriverEvent::Arrive(i) => {
+                sched.submit(jobs[i].1.clone(), now);
+            }
+            DriverEvent::Finish { slot, token } => {
+                if tokens[slot.index()] != token {
+                    continue; // killed by a crash or a winning copy
+                }
+                tokens[slot.index()] += 1;
+                let outcome = sched.task_finished(slot, now);
+                for killed in outcome.killed {
+                    tokens[killed.index()] += 1;
+                }
+            }
+            DriverEvent::Fault(i) => match plan.events()[i].kind {
+                FaultKind::NodeCrash { node, down } => {
+                    let outcome = sched.fail_slots(&node_slots(node), now, true, "crash");
+                    for killed in outcome.killed {
+                        tokens[killed.index()] += 1;
+                    }
+                    if let Some(down) = down {
+                        push(&mut events, now + down, DriverEvent::Heal(i));
+                    }
+                }
+                FaultKind::NetworkPartition { node, secs } => {
+                    sched.fail_slots(&node_slots(node), now, false, "partition");
+                    push(&mut events, now + secs, DriverEvent::Heal(i));
+                }
+                ref other => panic!("driver does not inject {other:?}"),
+            },
+            DriverEvent::Heal(i) => {
+                let node = match plan.events()[i].kind {
+                    FaultKind::NodeCrash { node, .. }
+                    | FaultKind::NetworkPartition { node, .. } => node,
+                    ref other => panic!("driver does not heal {other:?}"),
+                };
+                sched.restore_slots(&node_slots(node), now);
+            }
+            DriverEvent::Expire => {
+                scheduled_expiry = None;
+                sched.expire_reservations(now);
+            }
+            DriverEvent::Wake => scheduled_unlock = None,
+        }
+        for a in sched.resource_offers(now) {
+            let secs = 0.5 + 5.5 * rng.f64();
+            let at = now + SimDuration::from_secs_f64(secs);
+            let token = tokens[a.slot.index()];
+            push(&mut events, at, DriverEvent::Finish { slot: a.slot, token });
+        }
+        if let Some(expiry) = sched.next_reservation_expiry() {
+            let wake = expiry.max(now);
+            if scheduled_expiry.is_none_or(|s| wake < s) {
+                push(&mut events, wake, DriverEvent::Expire);
+                scheduled_expiry = Some(wake);
+            }
+        }
+        let reference = reference_next_locality_unlock(&sched, now);
+        let indexed = sched.next_locality_unlock(now);
+        assert_eq!(indexed, reference, "next_locality_unlock diverged at {now:?} after {event:?}");
+        assert_eq!(
+            sched.has_unfinished_jobs(),
+            sched.jobs().iter().any(|j| !j.is_complete()),
+            "has_unfinished_jobs diverged at {now:?}"
+        );
+        if let Some(unlock) = indexed {
+            let wake = unlock.max(now);
+            if scheduled_unlock.is_none_or(|s| wake < s) {
+                push(&mut events, wake, DriverEvent::Wake);
+                scheduled_unlock = Some(wake);
+            }
+        }
+    }
+    !sched.has_unfinished_jobs()
+}
+
+/// A crash (healing after `down`) or a partition of one of three nodes.
+fn crash_or_partition_strategy() -> impl Strategy<Value = (f64, FaultKind)> {
+    let at = 0.0f64..60.0;
+    prop_oneof![
+        (at.clone(), 0u32..3, 0.5f64..12.0).prop_map(|(at, node, down)| {
+            (at, FaultKind::NodeCrash { node, down: Some(SimDuration::from_secs_f64(down)) })
+        }),
+        (at, 0u32..3, 0.5f64..8.0).prop_map(|(at, node, secs)| {
+            (at, FaultKind::NetworkPartition { node, secs: SimDuration::from_secs_f64(secs) })
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The windowed locality-unlock index equals the full jobs × task
+    /// sets walk after every event — arrivals, finishes, expiries,
+    /// wakeups, crashes that requeue running tasks, partitions and heals
+    /// — under the paper's 3 s locality wait, for every job order and
+    /// reservation policy.
+    #[test]
+    fn indexed_locality_unlock_matches_full_walk(
+        jobs in proptest::collection::vec(
+            (1u32..4, 1u32..6, 0i32..3, 0.0f64..40.0),
+            1..8,
+        ),
+        faults in proptest::collection::vec(crash_or_partition_strategy(), 0..5),
+        policy_index in 0usize..3,
+        order_index in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        let policy: Box<dyn ReservationPolicy> = match policy_index {
+            0 => Box::new(WorkConserving),
+            1 => Box::new(SpeculativeReservation::new()),
+            _ => Box::new(ssr::scheduler::TimeoutReservation::new(SimDuration::from_secs(10))),
+        };
+        let order: Box<dyn ssr::scheduler::JobOrder> = match order_index {
+            0 => Box::new(ssr::scheduler::FifoPriority),
+            1 => Box::new(ssr::scheduler::Fifo),
+            _ => Box::new(ssr::scheduler::Fair),
+        };
+        let sched = TaskScheduler::new(
+            ClusterSpec::new(3, 2).expect("valid cluster"),
+            LocalityModel::paper_simulation(),
+            policy,
+            order,
+        );
+        let specs: Vec<(SimTime, ssr::dag::JobSpec)> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, &(phases, parallelism, priority, arrival))| {
+                let mut b =
+                    JobSpecBuilder::new(format!("job{i}")).priority(Priority::new(priority));
+                for p in 0..phases {
+                    b = b.stage(format!("s{p}"), parallelism, constant(1.0));
+                }
+                (SimTime::from_secs_f64(arrival), b.chain().build().expect("valid job"))
+            })
+            .collect();
+        let mut plan = FaultPlan::new();
+        for (at, kind) in &faults {
+            plan.push(SimTime::from_secs_f64(*at), kind.clone());
+        }
+        prop_assert!(
+            drive_with_unlock_checks(sched, specs, &plan, seed),
+            "every job must complete once the faults heal"
+        );
     }
 }
