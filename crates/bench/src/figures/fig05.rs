@@ -19,7 +19,9 @@ pub fn run() -> String {
     run_scaled(scaled(40, 100), 31)
 }
 
-pub(crate) fn run_scaled(bg_jobs: u32, seed: u64) -> String {
+/// Runs the figure at an explicit background-job count and seed (the
+/// golden-equivalence suite pins the quick-scale default, 40 jobs, seed 31).
+pub fn run_scaled(bg_jobs: u32, seed: u64) -> String {
     let params = MllibParams::cluster().with_priority(FG_PRIORITY); // parallelism 20
     let kmeans = mllib::kmeans(&params).expect("valid template");
 

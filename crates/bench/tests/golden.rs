@@ -47,6 +47,21 @@ fn fig08_matches_golden_snapshot() {
 }
 
 #[test]
+fn fig05_matches_golden_snapshot() {
+    // Running-task series of KMeans alone and under contention at the
+    // quick-scale default (40 background jobs, seed 31).
+    ssr_sim::runner::set_worker_override(Some(1));
+    assert_golden("fig05.txt", &ssr_bench::figures::fig05::run_scaled(40, 31));
+}
+
+#[test]
+fn fig13_matches_golden_snapshot() {
+    // Per-job running-task series of both fair-sharing runs.
+    ssr_sim::runner::set_worker_override(Some(1));
+    assert_golden("fig13.txt", &ssr_bench::figures::fig13::run());
+}
+
+#[test]
 fn fig15_reduced_matches_golden_snapshot() {
     // Small grid (12 background jobs, seed 5 — the same scale the unit
     // tests use), single worker: the full simulator pipeline end to end.
