@@ -60,6 +60,15 @@ cmp "$trace_dir/explain1.json" "$trace_dir/explain2.json"
 cmp "$trace_dir/figexplain1.txt" "$trace_dir/figexplain2.txt"
 grep -q "slowdown attribution" "$trace_dir/explain1.txt"
 
+echo "==> examples smoke (trace-derived views run and are byte-identical across runs)"
+for example in gantt fair_sharing; do
+  for i in 1 2; do
+    cargo run -q --release --offline --example "$example" > "$trace_dir/$example$i.txt"
+  done
+  cmp "$trace_dir/${example}1.txt" "$trace_dir/${example}2.txt"
+done
+grep -q "reserved-idle" "$trace_dir/gantt1.txt"
+
 echo "==> fault smoke (faulted run is deterministic and invariant-clean)"
 for i in 1 2; do
   ./target/release/ssr-cli run --cluster 2x2 --policy ssr --seed 7 \

@@ -10,6 +10,9 @@
 //! figures all --timing       # per-figure wall-clock stats on stderr
 //! ```
 //!
+//! `--trace`, `--explain` and `--counters` each write an artifact of the
+//! fixed canonical contention scenario, not of the figures that ran.
+//!
 //! Figures driven by the simulator run at a scaled-down default; set
 //! `SSR_FULL=1` for paper-scale runs (slower).
 //!
@@ -73,6 +76,10 @@ fn main() -> ExitCode {
     if raw.is_empty() || raw.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: figures <all | --list | fig-id...> [--jobs N] [--timing] [--trace PATH] [--explain PATH] [--counters PATH]"
+        );
+        eprintln!(
+            "--trace/--explain/--counters report the fixed canonical contention scenario, \
+             not the figures that ran"
         );
         eprintln!("known ids: {}", figures::ALL.join(" "));
         return ExitCode::from(2);

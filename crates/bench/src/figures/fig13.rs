@@ -7,6 +7,7 @@
 //! reclaim them; with SSR it withholds its fair share throughout.
 
 use ssr_dag::Priority;
+use ssr_explain::{running_series, RunningSample};
 use ssr_sim::{OrderConfig, PolicyConfig, SimReport, Simulation};
 use ssr_simcore::dist::{constant, pareto};
 use ssr_simcore::SimTime;
@@ -43,15 +44,16 @@ pub(crate) fn run_seeded(seed: u64) -> String {
 
     // The two policy runs are independent; run both on the worker pool.
     let policies = [PolicyConfig::WorkConserving, PolicyConfig::ssr_strict()];
-    let mut reports: Vec<SimReport> =
+    let mut reports: Vec<(SimReport, Vec<RunningSample>)> =
         ssr_sim::par_map(ssr_sim::worker_count(), &policies, |policy| {
-            Simulation::new(
-                cluster_sim(cluster, seed).track_jobs(["job-1", "job-2"]),
+            let (report, events) = Simulation::new(
+                cluster_sim(cluster, seed),
                 policy.clone(),
                 OrderConfig::Fair,
                 vec![job1(), job2()],
             )
-            .run()
+            .run_recorded();
+            (report, running_series(&events, &["job-1", "job-2"]))
         });
     let with = reports.pop().expect("two reports");
     let without = reports.pop().expect("two reports");
@@ -60,17 +62,16 @@ pub(crate) fn run_seeded(seed: u64) -> String {
         "Fig. 13 — fair scheduler allocations over time (8 slots, 2 jobs)\n\
          paper: without SSR job-1 loses its share at each barrier; with SSR it keeps ~50%\n\n",
     );
-    for (label, report) in [("(a) w/o SSR", &without), ("(b) w/ SSR", &with)] {
+    for (label, (report, series)) in [("(a) w/o SSR", &without), ("(b) w/ SSR", &with)] {
         let mut table = Table::new(["t (s)", "job-1 running", "job-2 running"]);
         // Truncate at job-1 completion; afterwards job-2 trivially owns
         // the cluster.
         let end = report.job("job-1").and_then(|j| j.completed_secs).unwrap_or(f64::INFINITY);
         let series: Vec<_> =
-            report.timeseries.iter().filter(|s| s.time_secs <= end).cloned().collect();
+            series.iter().filter(|s| s.time.as_secs_f64() <= end).cloned().collect();
         for s in downsample(&series, 20) {
-            let j1 = s.running.iter().find(|(n, _)| n == "job-1").map_or(0, |(_, c)| *c);
-            let j2 = s.running.iter().find(|(n, _)| n == "job-2").map_or(0, |(_, c)| *c);
-            table.row([format!("{:.1}", s.time_secs), j1.to_string(), j2.to_string()]);
+            let (t, j1, j2) = (s.time.as_secs_f64(), s.running[0], s.running[1]);
+            table.row([format!("{t:.1}"), j1.to_string(), j2.to_string()]);
         }
         out.push_str(&format!(
             "{label}: job-1 JCT {:.1}s\n{}\n",

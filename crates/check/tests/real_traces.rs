@@ -14,7 +14,6 @@ use ssr_dag::Priority;
 use ssr_sim::{FaultKind, FaultPlan, OrderConfig, PolicyConfig, SimConfig, Simulation};
 use ssr_simcore::dist::constant;
 use ssr_simcore::{SimDuration, SimTime};
-use ssr_trace::VecSink;
 use ssr_workload::synthetic::{map_only, pipeline_of};
 
 /// A contended 2x2 cluster: a two-stage foreground pipeline (so barriers
@@ -32,15 +31,8 @@ fn run_checked(policy: PolicyConfig, faults: FaultPlan) -> (bool, ssr_check::Che
         .with_locality(LocalityModel::paper_simulation().with_wait(SimDuration::ZERO))
         .with_seed(7)
         .with_faults(faults);
-    let (report, sink) = Simulation::new(config, policy, OrderConfig::FifoPriority, vec![fg, bg])
-        .with_trace_sink(Box::new(VecSink::new()))
-        .run_traced();
-    let events = sink
-        .expect("sink attached")
-        .into_any()
-        .downcast::<VecSink>()
-        .expect("VecSink recovered")
-        .into_events();
+    let (report, events) =
+        Simulation::new(config, policy, OrderConfig::FifoPriority, vec![fg, bg]).run_recorded();
     (report.completed, InvariantChecker::new().check_all(&events))
 }
 

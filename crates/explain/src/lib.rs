@@ -13,7 +13,8 @@
 //!   v1 and v2);
 //! - [`timeline`] replays the stream into per-slot occupancy segments,
 //!   per-job running / reserved-idle / waiting interval sets, per-stage
-//!   lifecycle marks, stage critical paths, and an ASCII gantt;
+//!   lifecycle marks, stage critical paths, an ASCII gantt, and the
+//!   per-round running-task series behind Figs. 5 and 13;
 //! - [`attribution`] decomposes each foreground job's contended−alone JCT
 //!   gap into additive causes (reservation-denied queueing, locality wait,
 //!   barrier ramp-up, speculation overhead, residual), conserving the gap
@@ -50,4 +51,7 @@ pub(crate) mod test_events;
 pub use attribution::{attribute, blocked_profile, Attribution, AttributionError, BlockedProfile};
 pub use reader::{parse_trace, ReadError, Trace, ALL_EVENT_NAMES};
 pub use report::{explain, Report, REPORT_VERSION};
-pub use timeline::{CriticalHop, Interval, JobTimeline, SlotState, StageTimeline, Timeline};
+pub use timeline::{
+    running_series, CriticalHop, Interval, JobTimeline, RunningSample, SlotState, StageTimeline,
+    Timeline,
+};

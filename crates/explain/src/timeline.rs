@@ -177,7 +177,10 @@ impl JobTimeline {
         self.completed.map(|c| c.saturating_since(self.submitted).as_secs_f64())
     }
 
-    /// Number of instances running at time `t`.
+    /// Number of instances running at time `t`: the state after the last
+    /// event at `t`. When several offer rounds share one timestamp, every
+    /// round sees this same final count, so it is not a per-round sampler;
+    /// use [`running_series`] for that.
     pub fn running_count(&self, t: SimTime) -> usize {
         self.instances.iter().filter(|(iv, _)| iv.start <= t && t < iv.end).count()
     }
@@ -348,6 +351,63 @@ impl Timeline {
         }
         out
     }
+}
+
+/// Running-instance counts of the named jobs as one offer round ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunningSample {
+    /// The round's timestamp.
+    pub time: SimTime,
+    /// Running instances per requested name, in the order the names were
+    /// given (0 for a name not yet submitted).
+    pub running: Vec<usize>,
+}
+
+/// Replays `events` into the running-task series of the jobs called
+/// `names` (the data behind Figs. 5 and 13): one sample per
+/// `offer-round-ended`, from the first named job's `job-submitted` on.
+///
+/// Counts rise on `task-launched` and fall on `task-finished`,
+/// `copy-killed` and `task-crashed`, each mapped back to its job through
+/// the slot it frees. Sampling per round rather than per timestamp keeps
+/// every round's count when several rounds share a timestamp. A name
+/// matches the first job submitted under it.
+pub fn running_series(events: &[TraceEvent], names: &[&str]) -> Vec<RunningSample> {
+    use TraceEventKind as K;
+    let mut ids: Vec<Option<JobId>> = vec![None; names.len()];
+    let mut running = vec![0usize; names.len()];
+    // Index into `names` of the named job running on each occupied slot.
+    let mut on_slot: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut series = Vec::new();
+    for event in events {
+        match &event.kind {
+            K::JobSubmitted { job, name, .. } => {
+                for (id, wanted) in ids.iter_mut().zip(names) {
+                    if id.is_none() && wanted == name {
+                        *id = Some(*job);
+                    }
+                }
+            }
+            K::TaskLaunched { slot, job, .. } => {
+                if let Some(i) = ids.iter().position(|id| *id == Some(*job)) {
+                    running[i] += 1;
+                    on_slot.insert(*slot, i);
+                }
+            }
+            K::TaskFinished { slot, .. }
+            | K::CopyKilled { slot, .. }
+            | K::TaskCrashed { slot, .. } => {
+                if let Some(i) = on_slot.remove(slot) {
+                    running[i] -= 1;
+                }
+            }
+            K::OfferRoundEnded { .. } if ids.iter().any(Option::is_some) => {
+                series.push(RunningSample { time: event.time, running: running.clone() });
+            }
+            _ => {}
+        }
+    }
+    series
 }
 
 /// Per-job scratch state while replaying.
@@ -698,6 +758,92 @@ mod tests {
         // The per-job lane shows parallelism 2 during stage 0.
         let lane = a.lines().find(|l| l.starts_with("run ")).expect("job lane");
         assert!(lane.contains('2'), "{lane}");
+    }
+
+    #[test]
+    fn running_series_samples_every_round_at_a_shared_timestamp() {
+        use TraceEventKind as K;
+        let job = JobId::new(0);
+        let other = JobId::new(1);
+        let s0 = StageId::new(0);
+        let submitted = |job, name: &str| K::JobSubmitted {
+            job,
+            name: name.into(),
+            priority: Priority::new(0),
+            stages: vec![StageMeta { tasks: 2, parents: vec![] }],
+        };
+        let launch = |slot, job, partition| K::TaskLaunched {
+            slot,
+            job,
+            stage: s0,
+            partition,
+            attempt: 0,
+            level: "ANY",
+            speculative: false,
+            warm: false,
+        };
+        let round = |assignments| K::OfferRoundEnded { assignments };
+        let events = vec![
+            // Rounds before a named job exists are not sampled, and an
+            // unnamed job's instances are not counted.
+            TraceEvent::new(t(0.0), submitted(other, "bg")),
+            TraceEvent::new(t(0.0), launch(1, other, 0)),
+            TraceEvent::new(t(0.0), round(1)),
+            TraceEvent::new(t(1.0), submitted(job, "fg")),
+            TraceEvent::new(t(1.0), launch(0, job, 0)),
+            TraceEvent::new(t(1.0), round(1)),
+            // Two rounds at t=2: a finish, a round, then a launch on the
+            // freed slot and a second round. Both counts must survive.
+            TraceEvent::new(
+                t(2.0),
+                K::TaskFinished {
+                    slot: 0,
+                    job,
+                    stage: s0,
+                    partition: 0,
+                    attempt: 0,
+                    duration_secs: 1.0,
+                },
+            ),
+            TraceEvent::new(t(2.0), round(0)),
+            TraceEvent::new(t(2.0), launch(0, job, 1)),
+            TraceEvent::new(t(2.0), round(1)),
+            // A kill and a crash free the job's slots too.
+            TraceEvent::new(t(3.0), launch(2, job, 1)),
+            TraceEvent::new(t(3.0), round(1)),
+            TraceEvent::new(t(4.0), K::CopyKilled { slot: 2, job, stage: s0, partition: 1 }),
+            TraceEvent::new(t(4.0), round(0)),
+            TraceEvent::new(
+                t(5.0),
+                K::TaskCrashed {
+                    slot: 0,
+                    job,
+                    stage: s0,
+                    partition: 1,
+                    attempt: 0,
+                    requeued: true,
+                },
+            ),
+            TraceEvent::new(t(5.0), round(0)),
+        ];
+        let series = running_series(&events, &["fg", "missing"]);
+        let rows: Vec<(f64, Vec<usize>)> =
+            series.iter().map(|s| (s.time.as_secs_f64(), s.running.clone())).collect();
+        assert_eq!(
+            rows,
+            vec![
+                (1.0, vec![1, 0]),
+                (2.0, vec![0, 0]),
+                (2.0, vec![1, 0]),
+                (3.0, vec![2, 0]),
+                (4.0, vec![1, 0]),
+                (5.0, vec![0, 0]),
+            ]
+        );
+        // The per-timestamp view only sees the last state at t=2.
+        let tl = Timeline::reconstruct(&Trace { schema_version: 3, events });
+        let fg = tl.job_named("fg").expect("fg submitted");
+        assert_eq!(fg.running_count(t(2.0)), 1);
     }
 
     #[test]

@@ -75,9 +75,11 @@ pub struct WorkCounters {
     pub events_popped: Counter,
     /// Events pushed onto the simulation event queue.
     pub events_pushed: Counter,
-    /// Offer rounds answered from the cached free-slot snapshots.
+    /// Offer rounds that reused the cached `JobSnapshot`s of schedulable
+    /// jobs.
     pub index_hits: Counter,
-    /// Free-slot snapshot rebuilds (cache invalidated since last round).
+    /// Rebuilds of the schedulable-job snapshot cache (invalidated since
+    /// the last round).
     pub index_rescans: Counter,
     /// Offer rounds executed by the scheduler.
     pub offer_rounds: Counter,

@@ -1166,9 +1166,9 @@ impl TaskScheduler {
     fn dec_running(&mut self, job: JobId) {
         if let Some(c) = self.running_per_job.get_mut(&job) {
             *c = c.saturating_sub(1);
-            // Drop the entry once the count reaches zero so consumers of
-            // `running_per_job()` (e.g. Figure-7-style slot-composition
-            // sampling) never see drained or completed jobs pinned at 0.
+            // Drop the entry once the count reaches zero so the map holds
+            // only jobs with running tasks and drained or completed jobs
+            // do not accumulate in it.
             if *c == 0 {
                 self.running_per_job.remove(&job);
             }
@@ -1415,14 +1415,6 @@ impl TaskScheduler {
     /// The slot pool (states, reservations and indexes).
     pub fn slot_pool(&self) -> &SlotPool {
         &self.slots
-    }
-
-    /// Per-job running-slot counts, keyed by job id — the O(1) source the
-    /// simulator samples its timeseries from. Only jobs with at least one
-    /// running task appear; entries are removed when their count drops to
-    /// zero.
-    pub fn running_per_job(&self) -> &BTreeMap<JobId, usize> {
-        &self.running_per_job
     }
 
     /// All admitted jobs.
@@ -1949,13 +1941,13 @@ mod tests {
         let mut s = scheduler(1, 2);
         let job = s.submit(one_stage_job("j", 2, 0), SimTime::ZERO);
         let a = s.resource_offers(SimTime::ZERO);
-        assert_eq!(s.running_per_job().get(&job), Some(&2));
+        assert_eq!(s.running_count_for(job), 2);
         s.task_finished(a[0].slot, SimTime::from_secs(1));
-        assert_eq!(s.running_per_job().get(&job), Some(&1));
+        assert_eq!(s.running_count_for(job), 1);
         let done = s.task_finished(a[1].slot, SimTime::from_secs(1));
         assert!(done.job_completed);
         assert!(
-            !s.running_per_job().contains_key(&job),
+            !s.running_per_job.contains_key(&job),
             "drained job must not linger at a zero count"
         );
         assert_eq!(s.running_count_for(job), 0);

@@ -43,7 +43,7 @@ pub mod simulation;
 pub mod walltime;
 
 pub use experiment::{Experiment, ExperimentOutcome, OrderConfig, PolicyConfig, SlowdownRow};
-pub use report::{JobResult, SimReport, TaskTraceRecord, TimeSample};
+pub use report::{JobResult, SimReport};
 pub use runner::{merged_counters, par_map, worker_count, GridStats, Trial, TrialGrid, TrialResult};
 pub use simulation::{SimConfig, Simulation};
 pub use ssr_faults::{FaultEvent, FaultKind, FaultPlan};

@@ -30,45 +30,6 @@ impl JobResult {
     }
 }
 
-/// One sample of the running-task time series (recorded at every event
-/// when tracking is enabled) — the data behind Figs. 5 and 13.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimeSample {
-    /// Sample time (seconds).
-    pub time_secs: f64,
-    /// `(job name, running task count)` for each tracked job.
-    pub running: Vec<(String, usize)>,
-}
-
-/// One task-instance execution record (enabled via
-/// [`SimConfig::record_trace`]): everything needed to draw a Gantt chart
-/// or audit placements.
-///
-/// [`SimConfig::record_trace`]: crate::SimConfig::record_trace
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TaskTraceRecord {
-    /// Owning job's name.
-    pub job: String,
-    /// Phase index within the job.
-    pub stage: u32,
-    /// Partition index within the phase.
-    pub partition: u32,
-    /// Attempt number (0 = original, >= 1 = copy).
-    pub attempt: u32,
-    /// Slot the instance ran on.
-    pub slot: u32,
-    /// Placement time (seconds).
-    pub start_secs: f64,
-    /// Finish or kill time (seconds).
-    pub end_secs: f64,
-    /// Locality level of the placement.
-    pub level: String,
-    /// `true` for straggler-mitigation / speculation copies.
-    pub speculative: bool,
-    /// `"finished"` or `"killed"`.
-    pub outcome: String,
-}
-
 /// The full report of one simulated run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimReport {
@@ -95,10 +56,6 @@ pub struct SimReport {
     /// Task placements per locality level
     /// `[PROCESS_LOCAL, NODE_LOCAL, RACK_LOCAL, ANY]`.
     pub locality_counts: [u64; 4],
-    /// Running-task time series for tracked jobs.
-    pub timeseries: Vec<TimeSample>,
-    /// Per-instance execution trace (empty unless enabled).
-    pub trace: Vec<TaskTraceRecord>,
     /// Events processed by the run loop. Deterministic per seed, so it is
     /// serialized and pinned by the determinism regression tests.
     pub events_processed: u64,
@@ -165,8 +122,6 @@ pub(crate) struct Collector {
     pub(crate) speculative_copies: u64,
     pub(crate) kills: u64,
     pub(crate) locality_counts: [u64; 4],
-    pub(crate) timeseries: Vec<TimeSample>,
-    pub(crate) trace: Vec<TaskTraceRecord>,
     pub(crate) makespan: SimTime,
     pub(crate) events_processed: u64,
 }
@@ -181,8 +136,6 @@ impl Collector {
             speculative_copies: 0,
             kills: 0,
             locality_counts: [0; 4],
-            timeseries: Vec::new(),
-            trace: Vec::new(),
             makespan: SimTime::ZERO,
             events_processed: 0,
         }
@@ -231,8 +184,6 @@ mod tests {
             speculative_copies: 2,
             kills: 1,
             locality_counts: [5, 1, 0, 2],
-            timeseries: vec![],
-            trace: vec![],
             events_processed: 12,
             wall_secs: 0.0,
             counters: WorkCounters::default(),

@@ -12,7 +12,7 @@ use ssr_simcore::rng::SimRng;
 use ssr_simcore::{SimDuration, SimTime};
 
 use crate::experiment::{OrderConfig, PolicyConfig};
-use crate::report::{Collector, JobResult, SimReport, TimeSample};
+use crate::report::{Collector, JobResult, SimReport};
 
 /// Configuration of one simulated run.
 #[derive(Debug, Clone)]
@@ -21,9 +21,7 @@ pub struct SimConfig {
     locality: LocalityModel,
     seed: u64,
     horizon: SimTime,
-    track_jobs: Vec<String>,
     speculation: Option<ssr_scheduler::SpeculationConfig>,
-    record_trace: bool,
     stop_after: Vec<String>,
     faults: FaultPlan,
 }
@@ -37,9 +35,7 @@ impl SimConfig {
             locality: LocalityModel::paper_simulation(),
             seed: 0,
             horizon: SimTime::from_secs(7 * 24 * 3600),
-            track_jobs: Vec::new(),
             speculation: None,
-            record_trace: false,
             stop_after: Vec::new(),
             faults: FaultPlan::default(),
         }
@@ -78,14 +74,6 @@ impl SimConfig {
         self
     }
 
-    /// Records a per-instance execution trace
-    /// ([`SimReport::trace`](crate::SimReport)): placement, locality
-    /// level, finish/kill — the raw data behind Gantt charts.
-    pub fn record_trace(mut self, enabled: bool) -> Self {
-        self.record_trace = enabled;
-        self
-    }
-
     /// Enables status-quo progress-based speculative execution in the
     /// scheduler (the baseline the paper's §IV-C strategy is compared
     /// against).
@@ -110,17 +98,6 @@ impl SimConfig {
     /// `completed = false`).
     pub fn with_horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = horizon;
-        self
-    }
-
-    /// Enables the running-task time series for the named jobs (Figs. 5
-    /// and 13).
-    pub fn track_jobs<I, S>(mut self, names: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.track_jobs = names.into_iter().map(Into::into).collect();
         self
     }
 
@@ -155,14 +132,10 @@ pub struct Simulation {
     submitted: BTreeMap<JobId, usize>,
     slot_tokens: Vec<u64>,
     collector: Collector,
-    tracked: Vec<(JobId, String)>,
-    track_names: Vec<String>,
     scheduled_expiry: Option<SimTime>,
     scheduled_unlock: Option<SimTime>,
     horizon: SimTime,
     last_integrated: SimTime,
-    record_trace: bool,
-    open_trace: Vec<Option<OpenTrace>>,
     stop_names: Vec<String>,
     stop_pending: usize,
     faults: FaultPlan,
@@ -171,17 +144,6 @@ pub struct Simulation {
     cold_until: Vec<SimTime>,
     cold_factor: Vec<f64>,
     progress_every: Option<u64>,
-}
-
-#[derive(Debug, Clone)]
-struct OpenTrace {
-    job: String,
-    stage: u32,
-    partition: u32,
-    attempt: u32,
-    start: SimTime,
-    level: ssr_cluster::LocalityLevel,
-    speculative: bool,
 }
 
 impl Simulation {
@@ -228,14 +190,10 @@ impl Simulation {
             submitted: BTreeMap::new(),
             slot_tokens: vec![0; total_slots],
             collector: Collector::new(),
-            tracked: Vec::new(),
-            track_names: config.track_jobs,
             scheduled_expiry: None,
             scheduled_unlock: None,
             horizon: config.horizon,
             last_integrated: SimTime::ZERO,
-            record_trace: config.record_trace,
-            open_trace: vec![None; total_slots],
             stop_pending,
             stop_names: config.stop_after,
             faults: config.faults,
@@ -287,6 +245,20 @@ impl Simulation {
     pub fn run_traced(self) -> (SimReport, Option<Box<dyn ssr_trace::TraceSink>>) {
         let (report, sink, _) = self.run_instrumented();
         (report, sink)
+    }
+
+    /// Runs to completion with an in-memory [`VecSink`](ssr_trace::VecSink)
+    /// attached (in place of any sink set via
+    /// [`with_trace_sink`](Simulation::with_trace_sink)) and returns the
+    /// report with the run's decision trace — the single record that
+    /// per-instance and per-job views (Gantt charts, running-task series)
+    /// are derived from.
+    pub fn run_recorded(self) -> (SimReport, Vec<ssr_trace::TraceEvent>) {
+        let (report, sink) =
+            self.with_trace_sink(Box::new(ssr_trace::VecSink::new())).run_traced();
+        let sink = sink.expect("the sink attached above is returned").into_any();
+        let events = sink.downcast::<ssr_trace::VecSink>().expect("a VecSink").into_events();
+        (report, events)
     }
 
     /// [`run_traced`](Simulation::run_traced) plus the span profiler
@@ -351,9 +323,6 @@ impl Simulation {
                     let spec = self.jobs[index].clone();
                     let id = self.sched.submit(spec, t);
                     self.submitted.insert(id, index);
-                    if self.track_names.iter().any(|n| n == self.jobs[index].name()) {
-                        self.tracked.push((id, self.jobs[index].name().to_owned()));
-                    }
                 }
                 Event::TaskFinish { slot, token } => {
                     if self.slot_tokens[slot.index()] != token {
@@ -362,11 +331,9 @@ impl Simulation {
                     }
                     let outcome = self.sched.task_finished(slot, t);
                     self.slot_tokens[slot.index()] += 1;
-                    self.close_trace(slot, t, "finished");
                     for killed in &outcome.killed {
                         self.slot_tokens[killed.index()] += 1;
                         self.collector.kills += 1;
-                        self.close_trace(*killed, t, "killed");
                     }
                     if outcome.job_completed {
                         self.record_job_completion(outcome.instance.task.job, t);
@@ -385,7 +352,6 @@ impl Simulation {
             }
             self.span_exit(); // event_dispatch
             self.dispatch();
-            self.sample_timeseries();
             if !self.stop_names.is_empty() && self.stop_pending == 0 {
                 break;
             }
@@ -459,7 +425,6 @@ impl Simulation {
         for slot in outcome.killed {
             self.slot_tokens[slot.index()] += 1;
             self.collector.kills += 1;
-            self.close_trace(slot, t, "crashed");
         }
     }
 
@@ -504,17 +469,6 @@ impl Simulation {
             let token = self.slot_tokens[a.slot.index()];
             self.events.push(self.now + duration, Event::TaskFinish { slot: a.slot, token });
             self.collector.locality_counts[locality_index(a.level)] += 1;
-            if self.record_trace {
-                self.open_trace[a.slot.index()] = Some(OpenTrace {
-                    job: spec.name().to_owned(),
-                    stage: task.stage.as_u32(),
-                    partition: task.partition,
-                    attempt: a.instance.attempt,
-                    start: self.now,
-                    level: a.level,
-                    speculative: a.speculative,
-                });
-            }
             if a.speculative {
                 self.collector.speculative_copies += 1;
             }
@@ -567,44 +521,6 @@ impl Simulation {
             self.collector.free_slot_secs += free as f64 * dt;
         }
         self.last_integrated = t;
-    }
-
-    fn sample_timeseries(&mut self) {
-        if self.tracked.is_empty() {
-            return;
-        }
-        // One pass over the engine's per-job running map instead of a
-        // per-tracked-job lookup on every event.
-        let per_job = self.sched.running_per_job();
-        let running: Vec<(String, usize)> = self
-            .tracked
-            .iter()
-            .map(|(id, name)| (name.clone(), per_job.get(id).copied().unwrap_or(0)))
-            .collect();
-        self.collector.timeseries.push(TimeSample {
-            time_secs: self.now.as_secs_f64(),
-            running,
-        });
-    }
-
-    fn close_trace(&mut self, slot: SlotId, end: SimTime, outcome: &str) {
-        if !self.record_trace {
-            return;
-        }
-        if let Some(open) = self.open_trace[slot.index()].take() {
-            self.collector.trace.push(crate::report::TaskTraceRecord {
-                job: open.job,
-                stage: open.stage,
-                partition: open.partition,
-                attempt: open.attempt,
-                slot: slot.as_u32(),
-                start_secs: open.start.as_secs_f64(),
-                end_secs: end.as_secs_f64(),
-                level: open.level.to_string(),
-                speculative: open.speculative,
-                outcome: outcome.to_owned(),
-            });
-        }
     }
 
     fn record_job_completion(&mut self, job: JobId, t: SimTime) {
@@ -666,8 +582,6 @@ impl Simulation {
             speculative_copies: self.collector.speculative_copies,
             kills: self.collector.kills,
             locality_counts: self.collector.locality_counts,
-            timeseries: self.collector.timeseries,
-            trace: self.collector.trace,
             events_processed: self.collector.events_processed,
             wall_secs: 0.0,
             counters,
@@ -714,12 +628,28 @@ mod tests {
     use super::*;
     use ssr_dag::Priority;
     use ssr_simcore::dist::constant;
+    use ssr_trace::{TraceEvent, TraceEventKind as K};
     use ssr_workload::synthetic::{map_only, pareto_pipeline, pipeline_of};
 
     fn config(nodes: u32, slots: u32) -> SimConfig {
         SimConfig::new(ClusterSpec::new(nodes, slots).unwrap())
             .with_locality(LocalityModel::paper_simulation().with_wait(SimDuration::ZERO))
             .with_seed(1)
+    }
+
+    /// Runs under FIFO-priority order and returns the report with the
+    /// decision trace.
+    fn traced(
+        config: SimConfig,
+        policy: PolicyConfig,
+        jobs: Vec<JobSpec>,
+    ) -> (SimReport, Vec<TraceEvent>) {
+        Simulation::new(config, policy, OrderConfig::FifoPriority, jobs).run_recorded()
+    }
+
+    /// Counts the trace events for which `pick` holds.
+    fn count(events: &[TraceEvent], pick: impl Fn(&K) -> bool) -> usize {
+        events.iter().filter(|e| pick(&e.kind)).count()
     }
 
     #[test]
@@ -844,22 +774,21 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_tracks_requested_jobs() {
+    fn running_count_from_trace_peaks_at_parallelism() {
         let fg = pareto_pipeline("fg", 2, 4, 1.0, 1.5, Priority::new(10)).unwrap();
-        let report = Simulation::new(
-            config(1, 4).track_jobs(["fg"]),
-            PolicyConfig::WorkConserving,
-            OrderConfig::FifoPriority,
-            vec![fg],
-        )
-        .run();
-        assert!(!report.timeseries.is_empty());
-        let max_running = report
-            .timeseries
-            .iter()
-            .flat_map(|s| s.running.iter().map(|(_, c)| *c))
-            .max()
-            .unwrap();
+        let (_, events) = traced(config(1, 4), PolicyConfig::WorkConserving, vec![fg]);
+        assert!(count(&events, |k| matches!(k, K::OfferRoundEnded { .. })) > 0);
+        // Running count as each offer round ends: launches minus finishes.
+        let mut running = 0usize;
+        let mut max_running = 0;
+        for e in &events {
+            match e.kind {
+                K::TaskLaunched { .. } => running += 1,
+                K::TaskFinished { .. } => running -= 1,
+                K::OfferRoundEnded { .. } => max_running = max_running.max(running),
+                _ => {}
+            }
+        }
         assert_eq!(max_running, 4);
     }
 
@@ -930,56 +859,65 @@ mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        let report = Simulation::new(
-            config(2, 2).record_trace(true),
-            PolicyConfig::WorkConserving,
-            OrderConfig::FifoPriority,
-            vec![job],
-        )
-        .run();
-        assert_eq!(report.trace.len(), 8);
-        for r in &report.trace {
-            assert_eq!(r.job, "p");
-            assert_eq!(r.outcome, "finished");
-            assert!(r.end_secs > r.start_secs);
-            assert!(!r.speculative);
+        let (_, events) = traced(config(2, 2), PolicyConfig::WorkConserving, vec![job]);
+        assert!(matches!(&events[0].kind, K::JobSubmitted { name, .. } if name == "p"));
+        assert_eq!(count(&events, |k| matches!(k, K::TaskLaunched { .. })), 8);
+        assert_eq!(count(&events, |k| matches!(k, K::TaskFinished { .. })), 8);
+        let p = ssr_dag::JobId::new(0);
+        for e in &events {
+            match e.kind {
+                K::TaskLaunched { job, speculative, .. } => {
+                    assert_eq!(job, p);
+                    assert!(!speculative);
+                }
+                K::TaskFinished { job, duration_secs, .. } => {
+                    assert_eq!(job, p);
+                    assert!(duration_secs > 0.0);
+                }
+                K::CopyKilled { .. } | K::TaskCrashed { .. } => panic!("unexpected {e:?}"),
+                _ => {}
+            }
         }
-        // Stage 1 records start after stage 0's barrier clears.
-        let s0_end = report
-            .trace
+        // Stage 1 instances start after stage 0's barrier clears.
+        let stage_of = |k: &K| match k {
+            K::TaskLaunched { stage, .. } | K::TaskFinished { stage, .. } => Some(stage.as_u32()),
+            _ => None,
+        };
+        let s0_end = events
             .iter()
-            .filter(|r| r.stage == 0)
-            .map(|r| r.end_secs)
-            .fold(0.0f64, f64::max);
-        for r in report.trace.iter().filter(|r| r.stage == 1) {
-            assert!(r.start_secs >= s0_end);
+            .filter(|e| matches!(e.kind, K::TaskFinished { .. }) && stage_of(&e.kind) == Some(0))
+            .map(|e| e.time)
+            .max()
+            .unwrap();
+        for e in &events {
+            if matches!(e.kind, K::TaskLaunched { .. }) && stage_of(&e.kind) == Some(1) {
+                assert!(e.time >= s0_end);
+            }
         }
-        // Disabled by default.
-        let quiet = Simulation::new(
+        // No sink, no trace.
+        let (_, quiet) = Simulation::new(
             config(2, 2),
             PolicyConfig::WorkConserving,
             OrderConfig::FifoPriority,
             vec![pipeline_of("q", &[(2, constant(1.0))], Priority::default(), SimTime::ZERO)
                 .unwrap()],
         )
-        .run();
-        assert!(quiet.trace.is_empty());
+        .run_traced();
+        assert!(quiet.is_none());
     }
 
     #[test]
     fn trace_marks_killed_copies() {
         let job = pareto_pipeline("h", 2, 8, 1.0, 1.2, Priority::new(10)).unwrap();
-        let report = Simulation::new(
-            config(2, 4).with_seed(3).record_trace(true),
+        let (report, events) = traced(
+            config(2, 4).with_seed(3),
             PolicyConfig::ssr_strict_with_stragglers(),
-            OrderConfig::FifoPriority,
             vec![job],
-        )
-        .run();
-        let killed = report.trace.iter().filter(|r| r.outcome == "killed").count() as u64;
+        );
+        let killed = count(&events, |k| matches!(k, K::CopyKilled { .. })) as u64;
         assert_eq!(killed, report.kills);
         if report.speculative_copies > 0 {
-            assert!(report.trace.iter().any(|r| r.speculative));
+            assert!(count(&events, |k| matches!(k, K::TaskLaunched { speculative: true, .. })) > 0);
         }
     }
 
@@ -1003,20 +941,18 @@ mod tests {
                 .with_trace_sink(Box::new(ssr_trace::JsonlSink::new()))
                 .run_traced()
         };
-        let (plain, plain_sink) = run(config(2, 4).with_seed(11).record_trace(true));
-        let (faulted, faulted_sink) = run(
-            config(2, 4).with_seed(11).record_trace(true).with_faults(FaultPlan::default()),
-        );
-        assert_eq!(
-            jsonl_of(plain_sink.unwrap()),
-            jsonl_of(faulted_sink.unwrap()),
-            "empty plan must not perturb the decision trace"
-        );
+        let (plain, plain_sink) = run(config(2, 4).with_seed(11));
+        let (faulted, faulted_sink) =
+            run(config(2, 4).with_seed(11).with_faults(FaultPlan::default()));
+        let (plain_jsonl, faulted_jsonl) =
+            (jsonl_of(plain_sink.unwrap()), jsonl_of(faulted_sink.unwrap()));
+        assert_eq!(plain_jsonl, faulted_jsonl, "empty plan must not perturb the decision trace");
         assert_eq!(plain.jct_secs("fg"), faulted.jct_secs("fg"));
         assert_eq!(plain.jct_secs("bg"), faulted.jct_secs("bg"));
         assert_eq!(plain.busy_slot_secs, faulted.busy_slot_secs);
         assert_eq!(plain.events_processed, faulted.events_processed);
-        assert_eq!(plain.trace.len(), faulted.trace.len());
+        let launches = |jsonl: &str| jsonl.matches("\"event\":\"task-launched\"").count();
+        assert_eq!(launches(&plain_jsonl), launches(&faulted_jsonl));
     }
 
     #[test]
@@ -1024,20 +960,15 @@ mod tests {
         let job = map_only("m", 8, constant(2.0), Priority::default()).unwrap();
         let plan = FaultPlan::new()
             .with(SimTime::from_secs(1), FaultKind::NodeCrash { node: 1, down: None });
-        let report = Simulation::new(
-            config(2, 2).record_trace(true).with_faults(plan),
-            PolicyConfig::WorkConserving,
-            OrderConfig::FifoPriority,
-            vec![job],
-        )
-        .run();
+        let (report, events) =
+            traced(config(2, 2).with_faults(plan), PolicyConfig::WorkConserving, vec![job]);
         assert!(report.completed, "requeued tasks must finish on the surviving node");
-        let crashed = report.trace.iter().filter(|r| r.outcome == "crashed").count();
+        let crashed = count(&events, |k| matches!(k, K::TaskCrashed { .. }));
         assert_eq!(crashed, 2, "both tasks on the crashed node are killed");
         // 8 x 2 s tasks on 2 surviving slots after losing 2 mid-flight.
         assert!(report.jct_secs("m").unwrap() > 4.0);
         // Every partition still finishes exactly once.
-        let finished = report.trace.iter().filter(|r| r.outcome == "finished").count();
+        let finished = count(&events, |k| matches!(k, K::TaskFinished { .. }));
         assert_eq!(finished, 8);
     }
 
@@ -1076,16 +1007,13 @@ mod tests {
             SimTime::from_secs(1),
             FaultKind::NetworkPartition { node: 1, secs: SimDuration::from_secs(10) },
         );
-        let report = Simulation::new(
-            config(2, 2).record_trace(true).with_faults(plan),
-            PolicyConfig::WorkConserving,
-            OrderConfig::FifoPriority,
-            vec![job],
-        )
-        .run();
+        let (report, events) =
+            traced(config(2, 2).with_faults(plan), PolicyConfig::WorkConserving, vec![job]);
         assert!(report.completed);
         // Nothing is killed: tasks running through the partition finish.
-        assert!(report.trace.iter().all(|r| r.outcome == "finished"));
+        let cut_short = |k: &K| matches!(k, K::CopyKilled { .. } | K::TaskCrashed { .. });
+        assert_eq!(count(&events, cut_short), 0);
+        assert_eq!(count(&events, |k| matches!(k, K::TaskFinished { .. })), 8);
         // The partitioned slots take no new work until the heal at t=11:
         // 4 done by t=2, the rest run on node 0's two slots.
         assert_eq!(report.jct_secs("m"), Some(6.0));
@@ -1120,20 +1048,16 @@ mod tests {
                 cold_factor: 3.0,
             },
         );
-        let report = Simulation::new(
-            config(2, 2).record_trace(true).with_faults(plan),
+        let (report, events) = traced(
+            config(2, 2).with_faults(plan),
             PolicyConfig::WorkConserving,
-            OrderConfig::FifoPriority,
             vec![map_only("m", 8, constant(2.0), Priority::default()).unwrap()],
-        )
-        .run();
+        );
         assert!(report.completed);
         // Tasks relaunched on the restarted executor run 3x slower.
-        let cold = report
-            .trace
-            .iter()
-            .filter(|r| r.outcome == "finished" && (r.end_secs - r.start_secs - 6.0).abs() < 1e-9)
-            .count();
+        let cold = count(&events, |k| {
+            matches!(k, K::TaskFinished { duration_secs, .. } if (duration_secs - 6.0).abs() < 1e-9)
+        });
         assert!(cold > 0, "some task must run cold on the restarted node");
     }
 

@@ -12,7 +12,7 @@ use ssr_dag::Priority;
 use ssr_sim::{FaultKind, FaultPlan, OrderConfig, PolicyConfig, SimConfig, Simulation};
 use ssr_simcore::dist::constant;
 use ssr_simcore::{SimDuration, SimTime};
-use ssr_trace::{JsonlSink, TraceEventKind, VecSink};
+use ssr_trace::{JsonlSink, TraceEventKind};
 use ssr_workload::synthetic::{map_only, pipeline_of};
 
 /// Cluster of 1 node x 3 slots where, under a 30 s timeout-reservation
@@ -73,14 +73,8 @@ fn colliding_expiry_and_finish_replay_byte_identically() {
 
 #[test]
 fn finish_processes_before_expiry_at_equal_time() {
-    let (report, sink) = collision_sim().with_trace_sink(Box::new(VecSink::new())).run_traced();
+    let (report, events) = collision_sim().run_recorded();
     assert!(report.completed);
-    let events = sink
-        .expect("sink attached")
-        .into_any()
-        .downcast::<VecSink>()
-        .expect("VecSink recovered")
-        .into_events();
 
     let t31 = SimTime::from_secs(31);
     let finish_idx = events
@@ -154,15 +148,8 @@ fn revocation_collision_sim() -> Simulation {
 
 #[test]
 fn revocation_preempts_expiry_at_equal_time() {
-    let (report, sink) =
-        revocation_collision_sim().with_trace_sink(Box::new(VecSink::new())).run_traced();
+    let (report, events) = revocation_collision_sim().run_recorded();
     assert!(report.completed, "losing one of three slots must not wedge the run");
-    let events = sink
-        .expect("sink attached")
-        .into_any()
-        .downcast::<VecSink>()
-        .expect("VecSink recovered")
-        .into_events();
 
     let t31 = SimTime::from_secs(31);
     // The construction-queued fault wins every t=31 tie: the revocation

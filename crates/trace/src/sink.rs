@@ -42,7 +42,8 @@ pub trait TraceSink: fmt::Debug {
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
-/// In-memory sink that keeps every event; intended for tests.
+/// In-memory sink that keeps every event (behind
+/// `Simulation::run_recorded` in ssr-sim, and in tests).
 #[derive(Debug, Default)]
 pub struct VecSink {
     events: Vec<TraceEvent>,

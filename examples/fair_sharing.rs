@@ -10,6 +10,7 @@
 use ssr::prelude::*;
 use ssr::simcore::dist::{constant, pareto};
 use ssr::workload::synthetic::{map_only, pipeline_of};
+use ssr_explain::running_series;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = ClusterSpec::new(4, 2)?; // 8 slots; fair share = 4 each
@@ -26,33 +27,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("w/o SSR", PolicyConfig::WorkConserving),
         ("w/  SSR", PolicyConfig::ssr_strict()),
     ] {
-        let report = Simulation::new(
-            SimConfig::new(cluster).with_seed(7).track_jobs(["pipeline", "batch"]),
+        let (report, events) = Simulation::new(
+            SimConfig::new(cluster).with_seed(7),
             policy,
             OrderConfig::Fair,
             vec![pipeline.clone(), batch.clone()],
         )
-        .run();
+        .run_recorded();
+        let series = running_series(&events, &["pipeline", "batch"]);
         println!(
             "{label}: pipeline JCT {:.1}s (batch continues afterwards)",
             report.jct_secs("pipeline").expect("pipeline finishes")
         );
         // Print the allocation at a few instants while the pipeline runs.
         let end = report.job("pipeline").and_then(|j| j.completed_secs).unwrap_or(0.0);
-        for sample in report
-            .timeseries
+        for sample in series
             .iter()
-            .filter(|s| s.time_secs <= end)
-            .step_by(report.timeseries.len().max(12) / 12)
+            .filter(|s| s.time.as_secs_f64() <= end)
+            .step_by(series.len().max(12) / 12)
         {
-            let get = |name: &str| {
-                sample.running.iter().find(|(n, _)| n == name).map_or(0, |(_, c)| *c)
-            };
             println!(
                 "  t={:6.1}s  pipeline {:>2} slots  batch {:>2} slots",
-                sample.time_secs,
-                get("pipeline"),
-                get("batch")
+                sample.time.as_secs_f64(),
+                sample.running[0],
+                sample.running[1]
             );
         }
     }

@@ -1,66 +1,49 @@
-//! Renders an ASCII Gantt chart of slot occupancy from the execution
+//! Renders an ASCII Gantt chart of slot occupancy from the decision
 //! trace — the §II-B "interrupted execution" picture (the paper's Figs. 2
 //! and 3) reproduced from real simulator output.
 //!
 //! Run with: `cargo run --release --example gantt`
 
 use ssr::prelude::*;
-use ssr::sim::TaskTraceRecord;
 use ssr::simcore::dist::constant;
 use ssr::workload::synthetic::{map_only, pareto_pipeline};
+use ssr_explain::{Timeline, Trace};
 
 const WIDTH: usize = 78;
-
-fn render(trace: &[TaskTraceRecord], slots: u32, horizon: f64, label: &str) {
-    println!("\n{label} (one row per slot, '#' = workflow, '.' = batch, 'c' = copy)");
-    for slot in 0..slots {
-        let mut row = vec![' '; WIDTH];
-        for r in trace.iter().filter(|r| r.slot == slot) {
-            let from = ((r.start_secs / horizon) * WIDTH as f64) as usize;
-            let to = (((r.end_secs / horizon) * WIDTH as f64) as usize).min(WIDTH);
-            let ch = if r.speculative {
-                'c'
-            } else if r.job == "workflow" {
-                '#'
-            } else {
-                '.'
-            };
-            for cell in row.iter_mut().take(to).skip(from.min(WIDTH)) {
-                *cell = ch;
-            }
-        }
-        println!("slot {slot:>2} |{}|", row.into_iter().collect::<String>());
-    }
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = ClusterSpec::new(2, 4)?; // 8 slots
     let fg = || pareto_pipeline("workflow", 3, 8, 1.5, 1.5, Priority::new(10)).unwrap();
     let bg = || map_only("batch", 48, constant(25.0), Priority::new(0)).unwrap();
 
-    let mut horizons = Vec::new();
-    let mut runs = Vec::new();
-    for policy in [PolicyConfig::WorkConserving, PolicyConfig::ssr_strict()] {
-        let report = Simulation::new(
-            SimConfig::new(cluster).with_seed(9).record_trace(true),
-            policy,
-            OrderConfig::FifoPriority,
-            vec![fg(), bg()],
-        )
-        .run();
-        let jct = report.jct_secs("workflow").expect("workflow finishes");
-        horizons.push(jct * 1.1);
-        runs.push((report, jct));
-    }
-    // Use the same horizon for both charts so widths are comparable.
-    let horizon = horizons.iter().cloned().fold(0.0f64, f64::max);
+    let runs: Vec<_> = [PolicyConfig::WorkConserving, PolicyConfig::ssr_strict()]
+        .into_iter()
+        .map(|policy| {
+            Simulation::new(
+                SimConfig::new(cluster).with_seed(9),
+                policy,
+                OrderConfig::FifoPriority,
+                vec![fg(), bg()],
+            )
+            .run_recorded()
+        })
+        .collect();
+    // Cut both traces shortly after the slower workflow finishes so the
+    // charts cover comparable spans.
+    let horizon = runs
+        .iter()
+        .map(|(report, _)| report.jct_secs("workflow").expect("workflow finishes") * 1.1)
+        .fold(0.0f64, f64::max);
 
-    for ((report, jct), label) in runs.iter().zip([
+    for ((report, events), label) in runs.into_iter().zip([
         "work-conserving: the workflow loses its slots at every barrier",
         "speculative slot reservation: slots held across barriers",
     ]) {
-        render(&report.trace, cluster.total_slots(), horizon, label);
-        println!("workflow JCT: {jct:.1}s");
+        let events = events.into_iter().filter(|e| e.time.as_secs_f64() <= horizon).collect();
+        let timeline =
+            Timeline::reconstruct(&Trace { schema_version: ssr_trace::SCHEMA_VERSION, events });
+        print!("\n{label}\n{}", timeline.render_gantt(WIDTH));
+        println!("workflow JCT: {:.1}s", report.jct_secs("workflow").expect("workflow finishes"));
     }
     Ok(())
 }

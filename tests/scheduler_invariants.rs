@@ -34,6 +34,7 @@ use ssr::scheduler::{ReservationPolicy, SpeculationConfig, TaskScheduler, WorkCo
 use ssr::simcore::dist::constant;
 use ssr::simcore::rng::SimRng;
 use ssr::workload::synthetic::pareto_pipeline;
+use ssr_trace::TraceEvent;
 
 /// A randomized multi-job workload description.
 #[derive(Debug, Clone)]
@@ -283,11 +284,7 @@ fn fault_strategy() -> impl Strategy<Value = (f64, FaultKind)> {
 
 /// Runs the contended two-job scenario with `plan` injected, returning
 /// whether the run drained and the full decision-event stream.
-fn run_faulted(
-    policy: PolicyConfig,
-    plan: FaultPlan,
-    seed: u64,
-) -> (bool, Vec<ssr_trace::TraceEvent>) {
+fn run_faulted(policy: PolicyConfig, plan: FaultPlan, seed: u64) -> (bool, Vec<TraceEvent>) {
     let fg = JobSpecBuilder::new("fg")
         .priority(Priority::new(10))
         .stage("up", 4, constant(2.0))
@@ -304,16 +301,8 @@ fn run_faulted(
         .with_locality(LocalityModel::paper_simulation().with_wait(SimDuration::ZERO))
         .with_seed(seed)
         .with_faults(plan);
-    let (report, sink) =
-        ssr::sim::Simulation::new(config, policy, OrderConfig::FifoPriority, vec![fg, bg])
-            .with_trace_sink(Box::new(ssr_trace::VecSink::new()))
-            .run_traced();
-    let events = sink
-        .expect("sink attached")
-        .into_any()
-        .downcast::<ssr_trace::VecSink>()
-        .expect("VecSink recovered")
-        .into_events();
+    let (report, events) =
+        Simulation::new(config, policy, OrderConfig::FifoPriority, vec![fg, bg]).run_recorded();
     (report.completed, events)
 }
 
@@ -361,19 +350,43 @@ fn regression_barrier_gives_up_slot_exact_timing() {
     assert_eq!(sched.running_count_for(bg_id), 1);
 }
 
-/// Checks the speculation invariants on a full simulation trace: per
-/// (job, stage, partition) exactly one attempt finishes, every kill
-/// happens the instant the winner completes, no attempt outlives the
+/// Checks the speculation invariants on a full simulation's decision
+/// trace: per (job, stage, partition) exactly one attempt finishes, every
+/// kill happens the instant the winner completes, no attempt outlives the
 /// winner, and the report's copy/kill counters agree with the trace.
 /// Panics on violation (the proptest harness reports the inputs).
-fn assert_speculation_trace_invariants(report: &SimReport) {
+fn assert_speculation_trace_invariants(report: &SimReport, events: &[TraceEvent]) {
+    use ssr_trace::TraceEventKind as K;
     assert!(report.completed, "run must drain before auditing its trace");
-    let mut groups: HashMap<(String, u32, u32), Vec<&ssr::sim::TaskTraceRecord>> = HashMap::new();
-    for r in &report.trace {
-        groups.entry((r.job.clone(), r.stage, r.partition)).or_default().push(r);
+    /// (job, stage, partition).
+    type TaskKey = (u64, u32, u32);
+    /// How one attempt ended.
+    struct Ended {
+        attempt: u32,
+        end_secs: f64,
+        outcome: &'static str,
+    }
+    // Each attempt ends with the finish, kill or crash event that frees
+    // the slot it was launched on.
+    let mut open: HashMap<u32, (TaskKey, u32)> = HashMap::new();
+    let mut groups: HashMap<TaskKey, Vec<Ended>> = HashMap::new();
+    for e in events {
+        let (slot, outcome) = match &e.kind {
+            K::TaskLaunched { slot, job, stage, partition, attempt, .. } => {
+                open.insert(*slot, ((job.as_u64(), stage.as_u32(), *partition), *attempt));
+                continue;
+            }
+            K::TaskFinished { slot, .. } => (slot, "finished"),
+            K::CopyKilled { slot, .. } => (slot, "killed"),
+            K::TaskCrashed { slot, .. } => (slot, "crashed"),
+            _ => continue,
+        };
+        let (key, attempt) = open.remove(slot).expect("the freed slot ran an attempt");
+        let end_secs = e.time.as_secs_f64();
+        groups.entry(key).or_default().push(Ended { attempt, end_secs, outcome });
     }
     for ((job, stage, partition), attempts) in &groups {
-        let winners: Vec<_> = attempts.iter().filter(|r| r.outcome == "finished").collect();
+        let winners: Vec<_> = attempts.iter().filter(|a| a.outcome == "finished").collect();
         assert_eq!(
             winners.len(),
             1,
@@ -381,31 +394,34 @@ fn assert_speculation_trace_invariants(report: &SimReport) {
             attempts.len()
         );
         let winner_end = winners[0].end_secs;
-        for r in attempts {
+        for &Ended { attempt, end_secs, outcome } in attempts {
             assert!(
-                r.end_secs <= winner_end + 1e-9,
-                "{job}/{stage}/{partition} attempt {} outlived the winner ({} > {winner_end})",
-                r.attempt,
-                r.end_secs
+                end_secs <= winner_end + 1e-9,
+                "{job}/{stage}/{partition} attempt {attempt} outlived the winner \
+                 ({end_secs} > {winner_end})"
             );
-            if r.outcome == "killed" {
+            if outcome == "killed" {
                 assert!(
-                    (r.end_secs - winner_end).abs() < 1e-9,
-                    "{job}/{stage}/{partition} attempt {} was killed at {}, not at the \
-                     winner's finish {winner_end}",
-                    r.attempt,
-                    r.end_secs
+                    (end_secs - winner_end).abs() < 1e-9,
+                    "{job}/{stage}/{partition} attempt {attempt} was killed at {end_secs}, \
+                     not at the winner's finish {winner_end}"
                 );
             }
         }
     }
-    let speculative = report.trace.iter().filter(|r| r.speculative).count() as u64;
+    let speculative =
+        events.iter().filter(|e| matches!(e.kind, K::TaskLaunched { speculative: true, .. }));
     assert_eq!(
-        speculative, report.speculative_copies,
-        "speculative trace records must match the launched-copy counter"
+        speculative.count() as u64,
+        report.speculative_copies,
+        "speculative launches in the trace must match the launched-copy counter"
     );
-    let killed = report.trace.iter().filter(|r| r.outcome == "killed").count() as u64;
-    assert_eq!(killed, report.kills, "killed trace records must match the kill counter");
+    let killed = events.iter().filter(|e| matches!(e.kind, K::CopyKilled { .. }));
+    assert_eq!(
+        killed.count() as u64,
+        report.kills,
+        "copy kills in the trace must match the kill counter"
+    );
 }
 
 proptest! {
@@ -427,17 +443,16 @@ proptest! {
         let speculation = SpeculationConfig::spark_defaults()
             .with_quantile(quantile)
             .with_multiplier(multiplier);
-        let report = Simulation::new(
+        let (report, events) = Simulation::new(
             SimConfig::new(ClusterSpec::new(2, 4).expect("valid cluster"))
                 .with_seed(seed)
-                .with_speculation(speculation)
-                .record_trace(true),
+                .with_speculation(speculation),
             PolicyConfig::WorkConserving,
             OrderConfig::FifoPriority,
             vec![job],
         )
-        .run();
-        assert_speculation_trace_invariants(&report);
+        .run_recorded();
+        assert_speculation_trace_invariants(&report, &events);
     }
 
     /// The same invariants hold for the paper's own straggler mitigation
@@ -446,16 +461,14 @@ proptest! {
     fn ssr_straggler_copies_never_outlive_the_winner(seed in 0u64..10_000) {
         let job = pareto_pipeline("fg", 2, 8, 1.0, 1.2, Priority::new(10))
             .expect("valid job");
-        let report = Simulation::new(
-            SimConfig::new(ClusterSpec::new(2, 4).expect("valid cluster"))
-                .with_seed(seed)
-                .record_trace(true),
+        let (report, events) = Simulation::new(
+            SimConfig::new(ClusterSpec::new(2, 4).expect("valid cluster")).with_seed(seed),
             PolicyConfig::ssr_strict_with_stragglers(),
             OrderConfig::FifoPriority,
             vec![job],
         )
-        .run();
-        assert_speculation_trace_invariants(&report);
+        .run_recorded();
+        assert_speculation_trace_invariants(&report, &events);
     }
 
     /// `SpeculationConfig::threshold`: no copy is considered below the
