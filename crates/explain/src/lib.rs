@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod attribution;
+mod json;
 pub mod reader;
 pub mod report;
 pub mod timeline;

@@ -232,7 +232,8 @@ pub struct Timeline {
     /// Number of slots in the cluster (from the first offer round's pool
     /// counts, or the highest slot index seen if the trace has no rounds).
     pub slots: usize,
-    /// Timestamp of the last event in the trace.
+    /// End of the replayed span: the last event's timestamp, or the cut
+    /// given to [`Timeline::reconstruct_until`].
     pub horizon: SimTime,
     /// Per-job activity, ordered by job id.
     pub jobs: Vec<JobTimeline>,
@@ -243,7 +244,18 @@ pub struct Timeline {
 impl Timeline {
     /// Replays a parsed trace into a timeline.
     pub fn reconstruct(trace: &Trace) -> Timeline {
-        Builder::default().replay(&trace.events)
+        let horizon = trace.events.last().map_or(SimTime::ZERO, |e| e.time);
+        Builder::default().replay(&trace.events, horizon)
+    }
+
+    /// Replays the events of `trace` up to and including `cut` into a
+    /// timeline whose horizon is `cut` rather than its last event: runs
+    /// and reservations still open at the cut last until it. Timelines of
+    /// several traces cut at one instant thus share a horizon, and their
+    /// Gantt charts line up column for column.
+    pub fn reconstruct_until(trace: &Trace, cut: SimTime) -> Timeline {
+        let end = trace.events.partition_point(|e| e.time <= cut);
+        Builder::default().replay(&trace.events[..end], cut)
     }
 
     /// The slot's state at time `t` (last transition at or before `t`).
@@ -286,8 +298,8 @@ impl Timeline {
     /// slot state at each column's midpoint (`.` free, `=` reserved-idle,
     /// job letter running — lowercase for speculative copies), followed by
     /// one lane per job showing its running-instance count over time (`.`
-    /// idle, digits, `#` for ≥10). Output is byte-identical for a given
-    /// trace and width.
+    /// idle, digits, `#` for ≥10), on an axis from 0 to [`horizon`](Self::horizon).
+    /// Output is byte-identical for a given trace and width.
     pub fn render_gantt(&self, width: usize) -> String {
         let width = width.max(8);
         let horizon_secs = self.horizon.as_secs_f64();
@@ -488,9 +500,9 @@ impl Builder {
         self.transition(slot, at, SlotState::Free);
     }
 
-    fn replay(mut self, events: &[TraceEvent]) -> Timeline {
+    /// Replays `events`, closing whatever is still open at `horizon`.
+    fn replay(mut self, events: &[TraceEvent], horizon: SimTime) -> Timeline {
         use TraceEventKind as K;
-        let horizon = events.last().map(|e| e.time).unwrap_or(SimTime::ZERO);
         for event in events {
             let t = event.time;
             match &event.kind {
@@ -729,6 +741,31 @@ mod tests {
         assert_eq!(job.stages[0].completed, Some(t(2.5)));
         assert_eq!(job.stages[1].runnable, t(2.5));
         assert_eq!(job.stages[1].first_launch, Some(t(3.0)));
+    }
+
+    #[test]
+    fn reconstruct_until_extends_open_state_to_the_cut() {
+        // Cut at 2.2: slot 0 still runs stage 0, slot 1 is reserved-idle;
+        // both must last to the cut, not to the last kept event (2.0).
+        let tl = Timeline::reconstruct_until(&two_stage_trace(), t(2.2));
+        assert_eq!(tl.horizon, t(2.2));
+        let job = &tl.jobs[0];
+        assert_eq!(job.jct_secs(), None);
+        assert_eq!(job.running, vec![iv(0.0, 2.2)]);
+        assert_eq!(job.reserved_idle, vec![iv(2.0, 2.2)]);
+        assert_eq!(job.running_count(t(2.1)), 1);
+        let gantt = tl.render_gantt(22);
+        assert!(gantt.starts_with("time 0.000s .. 2.200s"), "{gantt}");
+        assert!(gantt.contains("slot   0 |AAAAAAAAAAAAAAAAAAAAAA|"), "{gantt}");
+        assert!(gantt.contains("slot   1 |AAAAAAAAAAAAAAAAAAAA==|"), "{gantt}");
+        assert!(gantt.contains("run    A |2222222222222222222211|"), "{gantt}");
+        // A cut past the last event only stretches the axis.
+        let full = Timeline::reconstruct(&two_stage_trace());
+        let late = Timeline::reconstruct_until(&two_stage_trace(), t(8.0));
+        assert_eq!(late.horizon, t(8.0));
+        assert_eq!(late.jobs[0].running, full.jobs[0].running);
+        assert_eq!(late.jobs[0].reserved_idle, full.jobs[0].reserved_idle);
+        assert_eq!(late.jobs[0].jct_secs(), Some(5.0));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod decline;
 pub mod engine;
 pub mod jobs;
 pub mod order;

@@ -11,8 +11,12 @@ use ssr_simcore::SimTime;
 
 /// Why an offer round declined to place a task for a candidate job.
 ///
-/// The reason is computed by the engine only when tracing is enabled, by
-/// re-examining the slot pool from the declined job's perspective.
+/// The engine computes the reason only when tracing is enabled, looking at
+/// the slot pool from the declined job's point of view (ssr-scheduler's
+/// `decline::classify`). Under a policy whose ApprovalLogic is
+/// priority-based that costs one verdict per reservation group and
+/// candidate priority per offer round; other policies are asked about each
+/// fitting reserved slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DenyReason {
     /// The job has no task set with pending (unlaunched) tasks.

@@ -28,20 +28,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .run_recorded()
         })
         .collect();
-    // Cut both traces shortly after the slower workflow finishes so the
-    // charts cover comparable spans.
+    // Cut both traces shortly after the slower workflow finishes and draw
+    // both charts on that common axis, so their columns line up.
     let horizon = runs
         .iter()
         .map(|(report, _)| report.jct_secs("workflow").expect("workflow finishes") * 1.1)
         .fold(0.0f64, f64::max);
+    let cut = SimTime::from_secs_f64(horizon);
 
     for ((report, events), label) in runs.into_iter().zip([
         "work-conserving: the workflow loses its slots at every barrier",
         "speculative slot reservation: slots held across barriers",
     ]) {
-        let events = events.into_iter().filter(|e| e.time.as_secs_f64() <= horizon).collect();
-        let timeline =
-            Timeline::reconstruct(&Trace { schema_version: ssr_trace::SCHEMA_VERSION, events });
+        let trace = Trace { schema_version: ssr_trace::SCHEMA_VERSION, events };
+        let timeline = Timeline::reconstruct_until(&trace, cut);
         print!("\n{label}\n{}", timeline.render_gantt(WIDTH));
         println!("workflow JCT: {:.1}s", report.jct_secs("workflow").expect("workflow finishes"));
     }
